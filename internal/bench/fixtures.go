@@ -50,11 +50,6 @@ type FixtureOption struct {
 	PlanCacheOff bool // disable the prepared-plan cache (cold-plan baseline)
 }
 
-// DefaultFixture is the standard configuration.
-func DefaultFixture() FixtureOption {
-	return FixtureOption{Rows: 1000, Concurrent: true, WSRF: true}
-}
-
 // NewSQLFixture seeds an engine with opt.Rows rows in table data
 // (id INTEGER, payload VARCHAR, num DOUBLE) and serves it.
 func NewSQLFixture(opt FixtureOption) (*SQLFixture, error) {
@@ -135,10 +130,6 @@ func (f *SQLFixture) serve(ep *service.Endpoint) error {
 	f.closers = append(f.closers, func() { srv.Close() })
 	return nil
 }
-
-// ServeExtra hosts another endpoint (e.g. a factory target) and wires
-// its lifetime to the fixture.
-func (f *SQLFixture) ServeExtra(ep *service.Endpoint) error { return f.serve(ep) }
 
 // Close shuts every listener down.
 func (f *SQLFixture) Close() {

@@ -84,11 +84,6 @@ func (s *DataService) SetAddress(url string) {
 // ConcurrentAccess reports the ConcurrentAccess property.
 func (s *DataService) ConcurrentAccess() bool { return s.concurrent }
 
-// ConfigurationMaps returns the advertised ConfigurationMap entries.
-func (s *DataService) ConfigurationMaps() []ConfigurationMapEntry {
-	return append([]ConfigurationMapEntry(nil), s.configMaps...)
-}
-
 // OnDestroy registers a destruction observer.
 func (s *DataService) OnDestroy(f func(name string)) {
 	s.mu.Lock()

@@ -70,16 +70,11 @@ func (g *Gate) InFlight() int64 { return g.inFlight.Load() }
 // when processing ends. On rejection it returns a *core.ServiceBusyFault
 // and the scope of the exhausted cap (ScopeService or ScopeResource).
 func (g *Gate) Acquire(resource string) (release func(), scope string, err error) {
-	if g.cfg.MaxInFlight > 0 {
-		if n := g.inFlight.Add(1); n > int64(g.cfg.MaxInFlight) {
-			g.inFlight.Add(-1)
-			return nil, ScopeService, &core.ServiceBusyFault{
-				Reason:     "service at capacity",
-				RetryAfter: g.cfg.RetryAfter,
-			}
+	if !g.admit() {
+		return nil, ScopeService, &core.ServiceBusyFault{
+			Reason:     "service at capacity",
+			RetryAfter: g.cfg.RetryAfter,
 		}
-	} else {
-		g.inFlight.Add(1)
 	}
 	if g.cfg.PerResource > 0 && resource != "" {
 		g.mu.Lock()
@@ -105,4 +100,24 @@ func (g *Gate) Acquire(resource string) (release func(), scope string, err error
 		}, "", nil
 	}
 	return func() { g.inFlight.Add(-1) }, "", nil
+}
+
+// admit takes one in-flight slot if the global cap allows it. The
+// counter only moves on admission, so InFlight never reads above the
+// cap, even while rejected requests race admitted ones.
+func (g *Gate) admit() bool {
+	limit := int64(g.cfg.MaxInFlight)
+	if limit <= 0 {
+		g.inFlight.Add(1)
+		return true
+	}
+	for {
+		n := g.inFlight.Load()
+		if n >= limit {
+			return false
+		}
+		if g.inFlight.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
 }

@@ -95,18 +95,12 @@ func (r *Registry) URIs() []string {
 // typeName/typeFromName serialise column types.
 func typeName(t sqlengine.Type) string { return t.String() }
 
-// effectiveColumns resolves untyped (computed) columns by inferring the
-// type from the first non-null value in that column, so expressions
-// like AVG(x) round-trip with their runtime type instead of decaying to
-// VARCHAR.
-func effectiveColumns(rs *sqlengine.ResultSet) []sqlengine.ResultColumn {
-	return effectiveColumnsRange(rs, 0, len(rs.Rows))
-}
-
-// effectiveColumnsRange is effectiveColumns restricted to the row
-// window [from, to): type inference scans only the rows a range encode
-// will render, which keeps windowed output byte-identical to encoding
-// a materialised page.
+// effectiveColumnsRange resolves untyped (computed) columns by
+// inferring the type from the first non-null value in that column, so
+// expressions like AVG(x) round-trip with their runtime type instead of
+// decaying to VARCHAR. Inference scans only the row window [from, to)
+// a range encode will render, which keeps windowed output
+// byte-identical to encoding a materialised page.
 func effectiveColumnsRange(rs *sqlengine.ResultSet, from, to int) []sqlengine.ResultColumn {
 	cols := append([]sqlengine.ResultColumn(nil), rs.Columns...)
 	for i := range cols {

@@ -90,11 +90,7 @@ func (d *Database) planAggregate(sel *SelectStmt) (*aggPlan, bool) {
 
 	// GROUP BY: plain base columns only.
 	for _, ge := range sel.GroupBy {
-		re, ok := rewriteExpr(ge, cols)
-		if !ok {
-			return nil, false
-		}
-		bc, ok := re.(*boundColExpr)
+		bc, ok := rewriteExpr(ge, cols).(*boundColExpr)
 		if !ok || bc.idx >= len(t.Columns) {
 			return nil, false
 		}
@@ -105,11 +101,7 @@ func (d *Database) planAggregate(sel *SelectStmt) (*aggPlan, bool) {
 	// a plain column (grouped only — with no GROUP BY the interpreter
 	// has no first row to read and the query is malformed anyway).
 	for _, e := range projExprs {
-		re, ok := rewriteExpr(e, cols)
-		if !ok {
-			return nil, false
-		}
-		switch n := re.(type) {
+		switch n := rewriteExpr(e, cols).(type) {
 		case *boundColExpr:
 			if len(ap.groupBy) == 0 || n.idx >= len(t.Columns) {
 				return nil, false
@@ -172,11 +164,8 @@ func (d *Database) planAggregate(sel *SelectStmt) (*aggPlan, bool) {
 	// WHERE: must compile to vector kernels (folded first, as the
 	// select planner does).
 	if sel.Where != nil {
-		w, ok := rewriteExpr(sel.Where, cols)
-		if !ok {
-			return nil, false
-		}
-		ap.pred, ok = compileVecPred(foldConstants(w), t)
+		var ok bool
+		ap.pred, ok = compileVecPred(foldConstants(rewriteExpr(sel.Where, cols)), t)
 		if !ok {
 			return nil, false
 		}
@@ -228,16 +217,8 @@ type aggGroup struct {
 // bind-time fallback and the interpreter must run. Caller holds d.mu
 // for reading and has verified ap.epoch == d.epoch.
 func (d *Database) execAggPlan(ctx context.Context, ap *aggPlan, params []Value) (set *ResultSet, handled bool, err error) {
-	var bp boundVec
-	if ap.pred != nil {
-		var ok bool
-		bp, ok = bindVecPred(ap.pred, params, ap.t)
-		if !ok {
-			return nil, false, nil
-		}
-	}
-	tc := ap.t.ensureChunks()
-	if !tc.ok {
+	cs := d.bindChunkScan(ap.pred, ap.t, params)
+	if cs == nil {
 		return nil, false, nil
 	}
 
@@ -275,99 +256,81 @@ func (d *Database) execAggPlan(ctx context.Context, ap *aggPlan, params []Value)
 	}
 	var keyBuf []byte
 
-	var selbuf [chunkRows]int8
-	for _, ch := range tc.chunks {
-		if err := ctxCheck(ctx); err != nil {
-			return nil, true, err
-		}
-		if bp != nil && chunkSkippable(bp, ch) {
-			d.vecSkipped.Add(1)
-			continue
-		}
-		d.vecBatches.Add(1)
-		sel := selbuf[:ch.n]
-		if bp != nil {
-			bp.eval(ch, sel)
-		} else {
-			for i := range sel {
-				sel[i] = triT
+	err = cs.walk(ctx, func(ch *colChunk, i int) error {
+		var g *aggGroup
+		switch {
+		case len(ap.groupBy) == 0:
+			if len(groups) == 0 {
+				g = newGroup(ch, i)
+			} else {
+				g = groups[0]
 			}
-		}
-		for i := 0; i < ch.n; i++ {
-			if sel[i] != triT {
-				continue
-			}
-			var g *aggGroup
-			switch {
-			case len(ap.groupBy) == 0:
-				if len(groups) == 0 {
-					g = newGroup(ch, i)
-				} else {
-					g = groups[0]
+		case intKeyed:
+			v := &ch.vecs[ap.groupBy[0]]
+			if v.nulls.get(i) {
+				if nullGroup == nil {
+					nullGroup = newGroup(ch, i)
 				}
-			case intKeyed:
-				v := &ch.vecs[ap.groupBy[0]]
-				if v.nulls.get(i) {
-					if nullGroup == nil {
-						nullGroup = newGroup(ch, i)
-					}
-					g = nullGroup
-				} else {
-					k := v.ints[i]
-					g = intGroups[k]
-					if g == nil {
-						g = newGroup(ch, i)
-						intGroups[k] = g
-					}
-				}
-			default:
-				keyBuf = keyBuf[:0]
-				for _, gc := range ap.groupBy {
-					keyBuf = ch.vecs[gc].appendGroupKey(keyBuf, i)
-					keyBuf = append(keyBuf, '\x01')
-				}
-				g = strGroups[string(keyBuf)]
+				g = nullGroup
+			} else {
+				k := v.ints[i]
+				g = intGroups[k]
 				if g == nil {
 					g = newGroup(ch, i)
-					strGroups[string(keyBuf)] = g
+					intGroups[k] = g
 				}
 			}
-			g.n++
-			for k := range ap.items {
-				it := &ap.items[k]
-				if it.kind == aggCountStar || it.kind == aggGroupCol {
+		default:
+			keyBuf = keyBuf[:0]
+			for _, gc := range ap.groupBy {
+				keyBuf = ch.vecs[gc].appendGroupKey(keyBuf, i)
+				keyBuf = append(keyBuf, '\x01')
+			}
+			g = strGroups[string(keyBuf)]
+			if g == nil {
+				g = newGroup(ch, i)
+				strGroups[string(keyBuf)] = g
+			}
+		}
+		g.n++
+		for k := range ap.items {
+			it := &ap.items[k]
+			if it.kind == aggCountStar || it.kind == aggGroupCol {
+				continue
+			}
+			v := &ch.vecs[it.col]
+			if v.nulls.get(i) {
+				continue
+			}
+			acc := &g.accs[k]
+			switch it.kind {
+			case aggCount:
+				acc.count++
+			case aggSum, aggAvg:
+				acc.count++
+				switch v.typ {
+				case TypeDouble:
+					acc.sumF += v.flts[i]
+				default:
+					acc.sumI += v.ints[i]
+					acc.sumF += float64(v.ints[i])
+				}
+			case aggMin, aggMax:
+				val := v.value(i)
+				if !acc.has {
+					acc.has, acc.best = true, val
 					continue
 				}
-				v := &ch.vecs[it.col]
-				if v.nulls.get(i) {
-					continue
-				}
-				acc := &g.accs[k]
-				switch it.kind {
-				case aggCount:
-					acc.count++
-				case aggSum, aggAvg:
-					acc.count++
-					switch v.typ {
-					case TypeDouble:
-						acc.sumF += v.flts[i]
-					default:
-						acc.sumI += v.ints[i]
-						acc.sumF += float64(v.ints[i])
-					}
-				case aggMin, aggMax:
-					val := v.value(i)
-					if !acc.has {
-						acc.has, acc.best = true, val
-						continue
-					}
-					c, _ := Compare(val, acc.best) // same column type: no error
-					if (it.kind == aggMin && c < 0) || (it.kind == aggMax && c > 0) {
-						acc.best = val
-					}
+				c, _ := Compare(val, acc.best) // same column type: no error
+				if (it.kind == aggMin && c < 0) || (it.kind == aggMax && c > 0) {
+					acc.best = val
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, true, err
 	}
 
 	// No GROUP BY: one implicit group even over zero rows.

@@ -250,9 +250,9 @@ type Database struct {
 	// a cached plan can never see a schema it was not planned for.
 	epoch uint64
 
-	// vectorOff disables the columnar execution paths for this database
-	// (set at engine construction, immutable afterwards); the global
-	// disableVector test toggle has the same effect process-wide.
+	// vectorOff disables the columnar execution paths for this database.
+	// WithVectorDisabled sets it at engine construction; the in-package
+	// equivalence tests flip it between executions to compare tiers.
 	vectorOff bool
 
 	// Columnar execution counters, exported via Engine.VectorStats.

@@ -154,11 +154,6 @@ func (e *Engine) Exec(sql string, params ...Value) (*Result, error) {
 	return e.NewSession().Execute(sql, params...)
 }
 
-// ExecContext is Exec under a context.
-func (e *Engine) ExecContext(ctx context.Context, sql string, params ...Value) (*Result, error) {
-	return e.NewSession().ExecuteContext(ctx, sql, params...)
-}
-
 // MustExec executes and panics on error; intended for test and example
 // seeding only.
 func (e *Engine) MustExec(sql string, params ...Value) *Result {
@@ -224,8 +219,7 @@ func (s *Session) ExecuteContext(ctx context.Context, sql string, params ...Valu
 // since planning) execution falls back to the interpreter, which is
 // always correct.
 func (s *Session) ExecutePrepared(ctx context.Context, prep *Prepared, params ...Value) (*Result, error) {
-	if _, isExplain := prep.stmt.(*ExplainStmt); !isExplain && prep.nparams > len(params) {
-		err := fmt.Errorf("statement requires %d parameters, got %d", prep.nparams, len(params))
+	if err := prep.checkParams(params); err != nil {
 		return errResult(StateSyntax, err), err
 	}
 	s.prep = prep
@@ -233,13 +227,7 @@ func (s *Session) ExecutePrepared(ctx context.Context, prep *Prepared, params ..
 	return s.ExecuteStmtContext(ctx, prep.stmt, params)
 }
 
-// ExecuteStmt runs an already-parsed statement. This is the entry point
-// thick DAIS wrappers use after their own parse/validate pass.
-func (s *Session) ExecuteStmt(st Statement, params []Value) (*Result, error) {
-	return s.ExecuteStmtContext(context.Background(), st, params)
-}
-
-// ExecuteStmtContext is ExecuteStmt under a context.
+// ExecuteStmtContext runs an already-parsed statement under a context.
 func (s *Session) ExecuteStmtContext(ctx context.Context, st Statement, params []Value) (*Result, error) {
 	switch st.(type) {
 	case *BeginStmt:
@@ -355,12 +343,7 @@ func (s *Session) run(ctx context.Context, st Statement, params []Value) (*Resul
 		if err != nil {
 			return errResult(stateFor(err), err), err
 		}
-		ca := SQLCA{SQLState: StateSuccess, UpdateCount: -1, RowsFetched: len(set.Rows)}
-		if len(set.Rows) == 0 {
-			ca.SQLState = StateNoData
-			ca.SQLCode = 100
-		}
-		return &Result{Set: set, UpdateCount: -1, CA: ca}, nil
+		return queryResult(set, len(set.Rows)), nil
 	case *InsertStmt:
 		return s.runDML(n.Table, func() (int, []undoEntry, error) { return db.execInsert(ctx, n, params) })
 	case *UpdateStmt:
@@ -443,13 +426,9 @@ func (s *Session) currentPlan(n *SelectStmt) *selectPlan {
 	return s.prep.plan
 }
 
-// currentAggPlan is currentPlan for vectorised aggregate plans; it also
-// honours the vector toggles so disabled engines always interpret.
+// currentAggPlan is currentPlan for vectorised aggregate plans.
 func (s *Session) currentAggPlan(n *SelectStmt) *aggPlan {
 	if disablePlanner || s.prep == nil || s.prep.agg == nil || s.prep.agg.sel != n {
-		return nil
-	}
-	if !s.engine.db.vectorEnabled() {
 		return nil
 	}
 	return s.prep.agg
@@ -476,7 +455,7 @@ func (s *Session) Explain(sql string) ([]string, error) {
 // lockForRead acquires shared locks for the given tables according to
 // the isolation level: READ UNCOMMITTED takes none (dirty reads
 // allowed); everything stronger takes shared locks, whose release
-// policy in ExecuteStmt distinguishes READ COMMITTED from
+// policy in ExecuteStmtContext distinguishes READ COMMITTED from
 // REPEATABLE READ/SERIALIZABLE.
 func (s *Session) lockForRead(tables []string) error {
 	if s.isolation == ReadUncommitted {
@@ -584,6 +563,17 @@ func okResult(updateCount int) *Result {
 		UpdateCount: updateCount,
 		CA:          SQLCA{SQLState: StateSuccess, UpdateCount: updateCount},
 	}
+}
+
+// queryResult is the outcome of a query that delivered n rows: set
+// holds them when materialised and is nil for a stream.
+func queryResult(set *ResultSet, n int) *Result {
+	ca := SQLCA{SQLState: StateSuccess, UpdateCount: -1, RowsFetched: n}
+	if n == 0 {
+		ca.SQLState = StateNoData
+		ca.SQLCode = 100
+	}
+	return &Result{Set: set, UpdateCount: -1, CA: ca}
 }
 
 func errResult(state string, err error) *Result {

@@ -181,11 +181,7 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 		if j.On != nil {
 			probeEnv := &evalEnv{cols: combined}
 			node.equi, node.hasEqui = findEquiConjunct(j.On, probeEnv, len(cols))
-			on, ok := rewriteExpr(j.On, combined)
-			if !ok {
-				return nil, "unresolvable ON expression"
-			}
-			node.clause.On = on
+			node.clause.On = rewriteExpr(j.On, combined)
 		}
 		p.joins = append(p.joins, node)
 		cols = combined
@@ -201,21 +197,9 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 	p.projCols = projCols
 	p.projExprs = make([]Expr, len(projExprs))
 	for i, e := range projExprs {
-		re, ok := rewriteExpr(e, cols)
-		if !ok {
-			return nil, "unresolvable select expression"
-		}
-		p.projExprs[i] = re
+		p.projExprs[i] = rewriteExpr(e, cols)
 	}
-
-	// WHERE.
-	if sel.Where != nil {
-		w, ok := rewriteExpr(sel.Where, cols)
-		if !ok {
-			return nil, "unresolvable WHERE expression"
-		}
-		p.where = w
-	}
+	p.where = rewriteExpr(sel.Where, cols)
 
 	// ORDER BY keys, classified with the interpreter's precedence:
 	// ordinals first, then select-list aliases (later duplicates win),
@@ -244,11 +228,7 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 		if refsAnyUnqualified(oi.Expr, outNames) {
 			return nil, "ORDER BY references select-list alias"
 		}
-		re, ok := rewriteExpr(oi.Expr, cols)
-		if !ok {
-			return nil, "unresolvable ORDER BY expression"
-		}
-		p.order = append(p.order, planOrderKey{kind: orderKeyExpr, expr: re, desc: oi.Desc})
+		p.order = append(p.order, planOrderKey{kind: orderKeyExpr, expr: rewriteExpr(oi.Expr, cols), desc: oi.Desc})
 	}
 
 	// Access path: only for join-free statements (with joins the
@@ -278,7 +258,10 @@ func (d *Database) planSelect(sel *SelectStmt) (*selectPlan, string) {
 		if okPred {
 			proj := gatherList(p.projExprs, t)
 			if pred != nil || proj != nil {
-				p.vec = &vecInfo{pred: pred, proj: proj}
+				p.vec = &vecInfo{pred: pred, proj: proj, needRow: proj == nil}
+				for _, k := range p.order {
+					p.vec.needRow = p.vec.needRow || k.kind == orderKeyExpr
+				}
 			}
 		}
 	}
@@ -545,118 +528,51 @@ func (p *selectPlan) bindOrderSatisfaction() {
 }
 
 // rewriteExpr compiles an expression against fixed bindings: every
-// resolvable column reference becomes a row-ordinal boundColExpr.
-// Subquery interiors are left untouched — they resolve at run time
-// through the environment chain, exactly as interpreted execution does.
-// The original tree is never mutated (plans share ASTs with the cache
-// and the interpreter), so every rewritten node is a copy. ok=false
-// means a reference did not resolve cleanly and the statement must stay
-// on the interpreter.
-func rewriteExpr(e Expr, cols []boundColumn) (Expr, bool) {
-	env := &evalEnv{cols: cols}
+// column reference that resolves cleanly becomes a row-ordinal
+// boundColExpr. A reference that does not (unknown or ambiguous) stays
+// a name-resolved ColumnExpr, so eval raises the interpreter's exact
+// error at the first row it reaches. Subquery interiors are left
+// untouched — they resolve at run time through the environment chain,
+// exactly as interpreted execution does. The original tree is never
+// mutated (plans share ASTs with the cache and the interpreter), so
+// every rewritten node is a copy.
+func rewriteExpr(e Expr, cols []boundColumn) Expr {
+	rw := func(e Expr) Expr { return rewriteExpr(e, cols) }
+	rwAll := func(es []Expr) []Expr {
+		out := make([]Expr, len(es))
+		for i, e := range es {
+			out[i] = rw(e)
+		}
+		return out
+	}
 	switch n := e.(type) {
-	case nil:
-		return nil, true
-	case *LiteralExpr, *ParamExpr, *SubqueryExpr, *ExistsExpr:
-		return e, true
 	case *ColumnExpr:
-		i, err := env.resolve(n.Table, n.Column)
-		if err != nil {
-			return nil, false
+		env := &evalEnv{cols: cols}
+		if i, err := env.resolve(n.Table, n.Column); err == nil {
+			return &boundColExpr{idx: i}
 		}
-		return &boundColExpr{idx: i}, true
-	case *boundColExpr:
-		return e, true
 	case *BinaryExpr:
-		l, ok := rewriteExpr(n.Left, cols)
-		if !ok {
-			return nil, false
-		}
-		r, ok := rewriteExpr(n.Right, cols)
-		if !ok {
-			return nil, false
-		}
-		return &BinaryExpr{Op: n.Op, Left: l, Right: r}, true
+		return &BinaryExpr{Op: n.Op, Left: rw(n.Left), Right: rw(n.Right)}
 	case *UnaryExpr:
-		op, ok := rewriteExpr(n.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		return &UnaryExpr{Op: n.Op, Operand: op}, true
+		return &UnaryExpr{Op: n.Op, Operand: rw(n.Operand)}
 	case *IsNullExpr:
-		op, ok := rewriteExpr(n.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		return &IsNullExpr{Operand: op, Negate: n.Negate}, true
+		return &IsNullExpr{Operand: rw(n.Operand), Negate: n.Negate}
 	case *InExpr:
-		op, ok := rewriteExpr(n.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		list := make([]Expr, len(n.List))
-		for i, it := range n.List {
-			re, ok := rewriteExpr(it, cols)
-			if !ok {
-				return nil, false
-			}
-			list[i] = re
-		}
-		return &InExpr{Operand: op, List: list, Subquery: n.Subquery, Negate: n.Negate}, true
+		return &InExpr{Operand: rw(n.Operand), List: rwAll(n.List), Subquery: n.Subquery, Negate: n.Negate}
 	case *BetweenExpr:
-		op, ok := rewriteExpr(n.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		lo, ok := rewriteExpr(n.Lo, cols)
-		if !ok {
-			return nil, false
-		}
-		hi, ok := rewriteExpr(n.Hi, cols)
-		if !ok {
-			return nil, false
-		}
-		return &BetweenExpr{Operand: op, Lo: lo, Hi: hi, Negate: n.Negate}, true
+		return &BetweenExpr{Operand: rw(n.Operand), Lo: rw(n.Lo), Hi: rw(n.Hi), Negate: n.Negate}
 	case *FuncExpr:
-		args := make([]Expr, len(n.Args))
-		for i, a := range n.Args {
-			re, ok := rewriteExpr(a, cols)
-			if !ok {
-				return nil, false
-			}
-			args[i] = re
-		}
-		return &FuncExpr{Name: n.Name, Args: args, Star: n.Star, Distinct: n.Distinct}, true
+		return &FuncExpr{Name: n.Name, Args: rwAll(n.Args), Star: n.Star, Distinct: n.Distinct}
 	case *CaseExpr:
-		op, ok := rewriteExpr(n.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		els, ok := rewriteExpr(n.Else, cols)
-		if !ok {
-			return nil, false
-		}
 		whens := make([]CaseWhen, len(n.Whens))
 		for i, w := range n.Whens {
-			wc, ok := rewriteExpr(w.When, cols)
-			if !ok {
-				return nil, false
-			}
-			wt, ok := rewriteExpr(w.Then, cols)
-			if !ok {
-				return nil, false
-			}
-			whens[i] = CaseWhen{When: wc, Then: wt}
+			whens[i] = CaseWhen{When: rw(w.When), Then: rw(w.Then)}
 		}
-		return &CaseExpr{Operand: op, Whens: whens, Else: els}, true
+		return &CaseExpr{Operand: rw(n.Operand), Whens: whens, Else: rw(n.Else)}
 	case *CastExpr:
-		op, ok := rewriteExpr(n.Operand, cols)
-		if !ok {
-			return nil, false
-		}
-		return &CastExpr{Operand: op, Target: n.Target}, true
+		return &CastExpr{Operand: rw(n.Operand), Target: n.Target}
 	}
-	return nil, false
+	return e
 }
 
 // exprHasSubquery reports whether the tree contains any subquery form.
@@ -812,18 +728,13 @@ func (p *selectPlan) explainLines() []string {
 		lines = append(lines, fmt.Sprintf("  vector: columnar scan (chunks of %d rows)", chunkRows))
 		if p.vec.pred != nil {
 			lines = append(lines, "  vector filter: compiled kernels with zone-map skipping (row fallback on bind failure)")
-		} else if p.where != nil {
-			lines = append(lines, "  filter: batched predicate (chunks of "+fmt.Sprint(filterChunkRows)+" rows)")
 		}
-		if p.vec.proj != nil {
-			lines = append(lines, fmt.Sprintf("  vector project: gather %d columns", len(p.vec.proj)))
-		} else {
-			lines = append(lines, fmt.Sprintf("  project: %d columns", len(p.projCols)))
-		}
+	} else if p.where != nil {
+		lines = append(lines, "  filter: row predicate")
+	}
+	if p.vec != nil && p.vec.proj != nil {
+		lines = append(lines, fmt.Sprintf("  vector project: gather %d columns", len(p.vec.proj)))
 	} else {
-		if p.where != nil {
-			lines = append(lines, "  filter: batched predicate (chunks of "+fmt.Sprint(filterChunkRows)+" rows)")
-		}
 		lines = append(lines, fmt.Sprintf("  project: %d columns", len(p.projCols)))
 	}
 	if len(p.order) > 0 {

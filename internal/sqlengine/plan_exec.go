@@ -6,11 +6,6 @@ import (
 	"sort"
 )
 
-// filterChunkRows is the batch size for compiled-plan filter
-// evaluation: the predicate runs over a chunk of rows into a selection
-// vector, then survivors are appended in a second tight pass.
-const filterChunkRows = 256
-
 // evalAccessValue evaluates a point/bound expression with parameters
 // only — access expressions are literals or parameters, never row
 // references. ok=false (error or NULL) widens the access path.
@@ -125,30 +120,130 @@ func (p *selectPlan) rangeBounds(params []Value) (lo, hi *ordBound, ok bool) {
 	return lo, hi, true
 }
 
-// execPlan runs a compiled plan: access path, joins, batched filter,
-// slab projection, index-aware ordering, then OFFSET/LIMIT — with the
-// interpreter's exact operation order and error surface. The caller
-// holds d.mu for reading and has verified p.epoch == d.epoch.
+// execPlan runs a compiled plan to a materialised result: the plan's
+// rows, projected in delivery order, then sorted and trimmed per
+// OFFSET/LIMIT with the interpreter's exact operation order and error
+// surface. The caller holds d.mu for reading and has verified
+// p.epoch == d.epoch.
 func (d *Database) execPlan(ctx context.Context, p *selectPlan, params []Value) (*ResultSet, error) {
-	// Columnar fast path: when the plan compiled a vector annotation and
-	// vector execution is enabled, run the chunked kernels. A bind-time
-	// fallback (handled=false) drops through to the row operators below.
-	if p.vec != nil && d.vectorEnabled() {
-		set, handled, err := d.execPlanVector(ctx, p, params)
-		if err != nil {
+	env := &evalEnv{cols: p.cols, params: params, db: d, ctx: ctx}
+	out := &ResultSet{Columns: p.projCols}
+	needKeys := len(p.order) > 0 && !p.orderSatisfied
+	var orderKeys [][]Value
+	slab := newRowSlab(len(p.projExprs))
+	err := p.eachRow(env, false, func(ch *colChunk, i int) error {
+		vals := slab.next()
+		if err := p.project(env, ch, i, vals); err != nil {
+			return err
+		}
+		out.Rows = append(out.Rows, vals)
+		if !needKeys {
+			return nil
+		}
+		keys := make([]Value, len(p.order))
+		for ki, k := range p.order {
+			if k.kind == orderKeyProjected {
+				keys[ki] = vals[k.idx]
+				continue
+			}
+			v, err := eval(k.expr, env)
+			if err != nil {
+				return err
+			}
+			keys[ki] = v
+		}
+		orderKeys = append(orderKeys, keys)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if needKeys {
+		if err := sortRows(out, orderKeys, p.sel.OrderBy); err != nil {
 			return nil, err
 		}
-		if handled {
-			return set, nil
+	}
+	if err := applyOffsetLimit(out, p.sel, env); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// eachRow calls emit for every row the plan admits, in delivery order,
+// with env.row set whenever the projection or sort keys read it. It is
+// the one place that picks the execution tier:
+//   - vector: a vector-annotated plan whose predicate binds for these
+//     parameters walks the column chunks, and emit receives the chunk
+//     and the row's position in it;
+//   - row: otherwise the access path and joins gather the rows, the
+//     WHERE filter runs over them, and emit receives a nil chunk.
+//
+// With lazy false the row tier filters every row before emitting any,
+// the interpreter's order, so a materialised result raises the same
+// first error. Streams pass lazy true to filter each row just before
+// emitting it, which lets a LIMIT stop the scan early. Kernels never
+// fail, so the vector tier needs no such choice. An error from emit
+// ends the walk and is returned.
+func (p *selectPlan) eachRow(env *evalEnv, lazy bool, emit func(ch *colChunk, i int) error) error {
+	if p.vec != nil {
+		if cs := env.db.bindChunkScan(p.vec.pred, p.t, env.params); cs != nil {
+			return cs.walk(env.ctx, func(ch *colChunk, i int) error {
+				if p.vec.needRow {
+					env.row = p.t.rows[ch.ids[i]]
+				}
+				return emit(ch, i)
+			})
 		}
 	}
-	env := &evalEnv{cols: p.cols, params: params, db: d, ctx: ctx}
-	rows := p.baseRows(params)
+	rows, err := p.joinedRows(env)
+	if err != nil {
+		return err
+	}
+	if !lazy && p.where != nil {
+		kept := rows[:0:0]
+		for _, r := range rows {
+			if err := env.checkCtx(); err != nil {
+				return err
+			}
+			env.row = r
+			ok, err := p.filter(env)
+			if err != nil {
+				return err
+			}
+			if ok {
+				kept = append(kept, r)
+			}
+		}
+		rows = kept
+	}
+	for _, r := range rows {
+		if err := env.checkCtx(); err != nil {
+			return err
+		}
+		env.row = r
+		if lazy {
+			ok, err := p.filter(env)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+		}
+		if err := emit(nil, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	// Joins: the strategy was decided at plan time; disableHashJoin is
-	// still consulted per execution so the equivalence toggle works on
-	// cached plans too, and the hash path keeps its runtime bail to the
-	// nested loop.
+// joinedRows is the row tier's source: the base table through the
+// plan's access path, then each join in order. The strategy was decided
+// at plan time; disableHashJoin is still consulted per execution so the
+// equivalence toggle works on cached plans too, and the hash path keeps
+// its runtime bail to the nested loop.
+func (p *selectPlan) joinedRows(env *evalEnv) ([][]Value, error) {
+	rows := p.baseRows(env.params)
 	leftWidth := len(p.t.Columns)
 	for i := range p.joins {
 		j := &p.joins[i]
@@ -156,7 +251,7 @@ func (d *Database) execPlan(ctx context.Context, p *selectPlan, params []Value) 
 		for _, id := range j.t.scan() {
 			right = append(right, j.t.rows[id])
 		}
-		joinEnv := &evalEnv{cols: j.cols, params: params, db: d, ctx: ctx}
+		joinEnv := &evalEnv{cols: j.cols, params: env.params, db: env.db, ctx: env.ctx}
 		var joined [][]Value
 		hashed := false
 		if !disableHashJoin && j.hasEqui {
@@ -164,109 +259,57 @@ func (d *Database) execPlan(ctx context.Context, p *selectPlan, params []Value) 
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				joined, hashed = out, true
-			}
+			joined, hashed = out, ok
 		}
 		if !hashed {
 			var err error
-			joined, err = nestedLoopJoin(rows, right, joinEnv, leftWidth, j.rcols, j.clause)
-			if err != nil {
+			if joined, err = nestedLoopJoin(rows, right, joinEnv, leftWidth, j.rcols, j.clause); err != nil {
 				return nil, err
 			}
 		}
 		rows = joined
 		leftWidth = len(j.cols)
 	}
+	return rows, nil
+}
 
-	// Batched filter: evaluate the compiled predicate over a chunk into
-	// a selection vector, then gather survivors.
-	if p.where != nil {
-		filtered := rows[:0:0]
-		var sel [filterChunkRows]bool
-		for start := 0; start < len(rows); start += filterChunkRows {
-			end := start + filterChunkRows
-			if end > len(rows) {
-				end = len(rows)
-			}
-			chunk := rows[start:end]
-			for i, r := range chunk {
-				if err := env.checkCtx(); err != nil {
-					return nil, err
-				}
-				env.row = r
-				v, err := eval(p.where, env)
-				if err != nil {
-					return nil, err
-				}
-				ok, err := truthy(v)
-				if err != nil {
-					return nil, err
-				}
-				sel[i] = ok
-			}
-			for i, r := range chunk {
-				if sel[i] {
-					filtered = append(filtered, r)
-				}
-			}
-		}
-		rows = filtered
+// filter evaluates the plan's WHERE clause against env.row.
+func (p *selectPlan) filter(env *evalEnv) (bool, error) {
+	if p.where == nil {
+		return true, nil
 	}
+	v, err := eval(p.where, env)
+	if err != nil {
+		return false, err
+	}
+	return truthy(v)
+}
 
-	// Projection: ordinal-bound expressions over slab rows; no per-row
-	// alias maps — ORDER BY keys were classified at plan time.
-	out := &ResultSet{Columns: p.projCols}
-	needKeys := len(p.order) > 0 && !p.orderSatisfied
-	var orderKeys [][]Value
-	slab := newRowSlab(len(p.projExprs))
-	for _, r := range rows {
-		if err := env.checkCtx(); err != nil {
-			return nil, err
+// project fills vals with the select list for one emitted row: a
+// columnar gather when the vector tier supplies the chunk and every
+// output is a plain column, the compiled expressions over env.row
+// otherwise.
+func (p *selectPlan) project(env *evalEnv, ch *colChunk, i int, vals []Value) error {
+	if ch != nil && p.vec.proj != nil {
+		for k, ci := range p.vec.proj {
+			vals[k] = ch.vecs[ci].value(i)
 		}
-		env.row = r
-		vals := slab.next()
-		for i, e := range p.projExprs {
-			v, err := eval(e, env)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		out.Rows = append(out.Rows, vals)
-		if needKeys {
-			keys := make([]Value, len(p.order))
-			for i, k := range p.order {
-				if k.kind == orderKeyProjected {
-					keys[i] = vals[k.idx]
-					continue
-				}
-				v, err := eval(k.expr, env)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = v
-			}
-			orderKeys = append(orderKeys, keys)
-		}
+		return nil
 	}
-
-	if needKeys {
-		if err := sortRows(out, orderKeys, p.sel.OrderBy); err != nil {
-			return nil, err
+	for k, e := range p.projExprs {
+		v, err := eval(e, env)
+		if err != nil {
+			return err
 		}
+		vals[k] = v
 	}
-
-	if err := applyOffsetLimit(out, p.sel, env); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return nil
 }
 
 // applyOffsetLimit trims a materialised result per OFFSET/LIMIT,
 // evaluated after projection and ordering exactly as the interpreter
 // does — no early termination, so evaluation errors surface for the
-// same inputs. Shared by the row and vector executors.
+// same inputs. Shared by compiled select and aggregate plans.
 func applyOffsetLimit(out *ResultSet, sel *SelectStmt, env *evalEnv) error {
 	if sel.Offset != nil {
 		n, err := evalCount(sel.Offset, env)

@@ -79,6 +79,9 @@ var planCorpus = []struct {
 	// Failures must match byte for byte too.
 	{sql: `SELECT id FROM rng WHERE k < 'abc'`},
 	{sql: `SELECT id FROM rng WHERE nosuch > 1`},
+	{sql: `SELECT nosuch FROM rng`},
+	{sql: `SELECT id FROM rng ORDER BY nosuch`},
+	{sql: `SELECT a.id FROM rng a JOIN rng b ON a.nosuch = b.id`},
 	{sql: `SELECT id FROM rng ORDER BY k LIMIT -1`},
 	{sql: `SELECT id FROM rng OFFSET ?`, params: []Value{Null}},
 }
@@ -115,6 +118,20 @@ func TestPlannedMatchesInterpreted(t *testing.T) {
 	e := planEngine(t, 150)
 	for _, tc := range planCorpus {
 		execBothWays(t, e, tc.sql, tc.params...)
+	}
+}
+
+// TestPlannedFiltersBeforeProjecting pins the interpreter's operation
+// order on materialised plans: every row is filtered before any is
+// projected, so a filter error on a later row wins over a projection
+// error on an earlier one. Streams filter lazily to stop early at
+// LIMIT, which is why this shape is not in planCorpus.
+func TestPlannedFiltersBeforeProjecting(t *testing.T) {
+	e := planEngine(t, 20)
+	const sql = `SELECT id + s FROM rng WHERE id < 5 OR k_noix < 'x'`
+	execBothWays(t, e, sql)
+	if _, err := e.NewSession().Execute(sql); err == nil || !strings.Contains(err.Error(), "cannot compare") {
+		t.Fatalf("err = %v, want the filter's comparison error", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"container/list"
+	"fmt"
 	"strings"
 	"sync"
 )
@@ -29,6 +30,15 @@ func (p *Prepared) NumParams() int { return p.nparams }
 
 // Planned reports whether a compiled physical plan is attached.
 func (p *Prepared) Planned() bool { return p.plan != nil }
+
+// checkParams rejects an execution with fewer parameters than the
+// statement has placeholders. EXPLAIN never binds its parameters.
+func (p *Prepared) checkParams(params []Value) error {
+	if _, isExplain := p.stmt.(*ExplainStmt); !isExplain && p.nparams > len(params) {
+		return fmt.Errorf("statement requires %d parameters, got %d", p.nparams, len(params))
+	}
+	return nil
+}
 
 // PlanCacheStats is a point-in-time snapshot of prepared-plan cache
 // counters.

@@ -120,6 +120,9 @@ func TestExecuteStreamSetupErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !stream.Streaming() {
+		t.Fatal("an unknown column must not keep the statement off the plan stream")
+	}
 	if _, err := stream.Next(); err == nil || err == io.EOF {
 		t.Fatalf("Next = %v, want eval error", err)
 	}
@@ -244,5 +247,45 @@ func TestExecuteStreamInsideTxnFallsBack(t *testing.T) {
 	}
 	if _, err := s.Execute(`COMMIT`); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExecuteStreamStalePlanReplays prepares a plan, moves the schema
+// epoch under it with CREATE INDEX, then streams the stale plan: the
+// statement must replay from a fresh materialised execution with the
+// same rows a new Execute returns.
+func TestExecuteStreamStalePlanReplays(t *testing.T) {
+	e := streamEngine(t, 300)
+	const sql = `SELECT id, label FROM items WHERE num > 50`
+	prep, err := e.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prep.Planned() {
+		t.Fatal("statement did not plan")
+	}
+	e.MustExec(`CREATE ORDERED INDEX items_num ON items (num)`)
+	s := e.NewSession()
+	stream, err := s.streamPrepared(context.Background(), prep, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stream.Streaming() {
+		t.Fatal("a stale plan must replay, not stream")
+	}
+	got := drain(t, stream)
+	want, err := e.NewSession().Execute(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gd, wd := dumpSet(&ResultSet{Columns: stream.Columns(), Rows: got}), dumpSet(want.Set); gd != wd {
+		t.Fatalf("replayed rows diverged:\n%s\nwant:\n%s", gd, wd)
+	}
+	res, err := stream.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CA != want.CA {
+		t.Fatalf("CA = %+v, want %+v", res.CA, want.CA)
 	}
 }

@@ -6,12 +6,6 @@ import (
 	"strings"
 )
 
-// disableVector forces the row executor even for plans that compiled a
-// vectorised operator. The equivalence tests flip it (alongside
-// disablePlanner) to prove all three execution paths produce
-// byte-identical results.
-var disableVector = false
-
 // Tri-state selection values: SQL three-valued logic over a chunk.
 // Only triT rows survive a filter.
 const (
@@ -31,13 +25,15 @@ const (
 )
 
 // vecInfo is a plan's vectorised-execution annotation: the compiled
-// chunk predicate (nil when the statement has no WHERE clause) and the
+// chunk predicate (nil when the statement has no WHERE clause), the
 // projection gather list (column ordinals when every output expression
-// is a plain column; nil means survivors materialise their row and
-// evaluate projections the row way).
+// is a plain column; nil means survivors evaluate projections the row
+// way), and whether survivors must materialise their stored row for
+// computed projections or sort keys.
 type vecInfo struct {
-	pred vecPred
-	proj []int
+	pred    vecPred
+	proj    []int
+	needRow bool
 }
 
 // vecPred is a plan-time compiled predicate tree. Operand expressions
@@ -870,123 +866,71 @@ func chunkSkippable(bp boundVec, ch *colChunk) bool {
 	return bp.possible(ch)&maskT == 0
 }
 
-// vectorEnabled reports whether columnar operators may run for this
-// database right now (both the global test toggle and the per-engine
-// option are consulted per execution, so cached plans honour them).
-func (d *Database) vectorEnabled() bool {
-	return !disableVector && !d.vectorOff
+// chunkScan is a columnar scan bound for one execution: the
+// predicate's constants evaluated against this execution's parameters,
+// over the table's current chunk cache.
+type chunkScan struct {
+	db   *Database // owner of the vecBatches/vecSkipped counters
+	pred boundVec  // nil when every row qualifies
+	tc   *tableChunks
 }
 
-// ctxCheck mirrors evalEnv.checkCtx at chunk granularity.
-func ctxCheck(ctx context.Context) error {
-	if ctx == nil {
+// bindChunkScan binds a columnar scan of t, or returns nil when the
+// caller must take its row fallback: vector execution is off for this
+// database, a constant defeats the kernels (see bindVecPred), or the
+// table's values defeated the chunk layout. Caller holds d.mu for
+// reading.
+func (d *Database) bindChunkScan(pred vecPred, t *Table, params []Value) *chunkScan {
+	if d.vectorOff {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return &CancelledError{Err: err}
+	cs := &chunkScan{db: d}
+	if pred != nil {
+		var ok bool
+		if cs.pred, ok = bindVecPred(pred, params, t); !ok {
+			return nil
+		}
 	}
-	return nil
+	if cs.tc = t.ensureChunks(); !cs.tc.ok {
+		return nil
+	}
+	return cs
 }
 
-// execPlanVector runs a compiled plan through the columnar operators:
-// zone-map chunk skipping, kernel predicate evaluation into a
-// selection vector, then columnar gather (or row materialisation for
-// computed projections). handled=false means a bind-time fallback —
-// the caller must run the row path; err is terminal either way.
-// Caller holds d.mu for reading.
-func (d *Database) execPlanVector(ctx context.Context, p *selectPlan, params []Value) (set *ResultSet, handled bool, err error) {
-	var bp boundVec
-	if p.vec.pred != nil {
-		var ok bool
-		bp, ok = bindVecPred(p.vec.pred, params, p.t)
-		if !ok {
-			return nil, false, nil
-		}
-	}
-	tc := p.t.ensureChunks()
-	if !tc.ok {
-		return nil, false, nil
-	}
-
-	env := &evalEnv{cols: p.cols, params: params, db: d, ctx: ctx}
-	out := &ResultSet{Columns: p.projCols}
-	needKeys := len(p.order) > 0 && !p.orderSatisfied
-	var orderKeys [][]Value
-	slab := newRowSlab(len(p.projExprs))
+// walk is the chunk loop every columnar operator runs: a cancellation
+// check per chunk, zone-map skipping, the kernel predicate into a
+// selection vector, and fn for each row that satisfied it, in scan
+// order. The vecBatches/vecSkipped counters record every chunk
+// evaluated or skipped. An error from fn ends the walk and is returned.
+func (cs *chunkScan) walk(ctx context.Context, fn func(ch *colChunk, i int) error) error {
 	var selbuf [chunkRows]int8
-	// Row materialisation is needed when some projection or sort key is
-	// not a plain column gather.
-	needRow := p.vec.proj == nil
-	for _, k := range p.order {
-		if k.kind == orderKeyExpr {
-			needRow = true
+	for _, ch := range cs.tc.chunks {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return &CancelledError{Err: err}
+			}
 		}
-	}
-
-	for _, ch := range tc.chunks {
-		if err := ctxCheck(ctx); err != nil {
-			return nil, true, err
-		}
-		if bp != nil && chunkSkippable(bp, ch) {
-			d.vecSkipped.Add(1)
+		if cs.pred != nil && chunkSkippable(cs.pred, ch) {
+			cs.db.vecSkipped.Add(1)
 			continue
 		}
-		d.vecBatches.Add(1)
+		cs.db.vecBatches.Add(1)
 		sel := selbuf[:ch.n]
-		if bp != nil {
-			bp.eval(ch, sel)
+		if cs.pred != nil {
+			cs.pred.eval(ch, sel)
 		} else {
 			for i := range sel {
 				sel[i] = triT
 			}
 		}
-		for i := 0; i < ch.n; i++ {
-			if sel[i] != triT {
+		for i, t := range sel {
+			if t != triT {
 				continue
 			}
-			if needRow {
-				env.row = p.t.rows[ch.ids[i]]
-			}
-			vals := slab.next()
-			if p.vec.proj != nil {
-				for k, ci := range p.vec.proj {
-					vals[k] = ch.vecs[ci].value(i)
-				}
-			} else {
-				for k, e := range p.projExprs {
-					v, err := eval(e, env)
-					if err != nil {
-						return nil, true, err
-					}
-					vals[k] = v
-				}
-			}
-			out.Rows = append(out.Rows, vals)
-			if needKeys {
-				keys := make([]Value, len(p.order))
-				for ki, k := range p.order {
-					if k.kind == orderKeyProjected {
-						keys[ki] = vals[k.idx]
-						continue
-					}
-					v, err := eval(k.expr, env)
-					if err != nil {
-						return nil, true, err
-					}
-					keys[ki] = v
-				}
-				orderKeys = append(orderKeys, keys)
+			if err := fn(ch, i); err != nil {
+				return err
 			}
 		}
 	}
-
-	if needKeys {
-		if err := sortRows(out, orderKeys, p.sel.OrderBy); err != nil {
-			return nil, true, err
-		}
-	}
-	if err := applyOffsetLimit(out, p.sel, env); err != nil {
-		return nil, true, err
-	}
-	return out, true, nil
+	return nil
 }

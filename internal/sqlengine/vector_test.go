@@ -170,9 +170,9 @@ func execAllPaths(t *testing.T, e *Engine, sql string, params ...Value) {
 		return outcome{dump: dumpSet(res.Set), ca: res.CA}
 	}
 	vec := run()
-	disableVector = true
+	e.db.vectorOff = true
 	row := run()
-	disableVector = false
+	e.db.vectorOff = false
 	disablePlanner = true
 	interp := run()
 	disablePlanner = false
@@ -266,9 +266,9 @@ func TestVectorStreamMatches(t *testing.T) {
 	}
 	for _, tc := range streamable {
 		vd, vca, verr := collect(tc.sql, tc.params)
-		disableVector = true
+		e.db.vectorOff = true
 		rd, rca, rerr := collect(tc.sql, tc.params)
-		disableVector = false
+		e.db.vectorOff = false
 		if (verr == nil) != (rerr == nil) {
 			t.Fatalf("%s: stream err = %v vs %v", tc.sql, verr, rerr)
 		}

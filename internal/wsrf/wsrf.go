@@ -40,6 +40,12 @@ type Clock func() time.Time
 // Registry tracks WS-Resources keyed by identifier (DAIS uses the data
 // resource abstract name) and manages their lifetimes.
 type Registry struct {
+	// destroyMu is held by Destroy and SweepExpired from before they take
+	// entries out until the destroy callbacks have returned, so a Destroy
+	// that finds its id already gone cannot report the unknown-resource
+	// fault while the reaper is still tearing that resource down. Taken
+	// before mu, never while holding it.
+	destroyMu sync.Mutex
 	mu        sync.Mutex
 	entries   map[string]*entry
 	clock     Clock
@@ -66,6 +72,8 @@ func WithClock(c Clock) Option { return func(r *Registry) { r.clock = c } }
 
 // WithDestroyCallback registers a hook invoked (outside the registry
 // lock) whenever a resource is destroyed, explicitly or by the reaper.
+// Concurrent Destroy calls wait for it, so it must not call Destroy or
+// SweepExpired itself.
 func WithDestroyCallback(f func(id string)) Option {
 	return func(r *Registry) { r.onDestroy = f }
 }
@@ -298,6 +306,8 @@ func (r *Registry) TerminationTime(id string) (time.Time, bool) {
 // Destroy implements wsrfl:Destroy: it unregisters the resource and
 // fires the destroy callback.
 func (r *Registry) Destroy(id string) error {
+	r.destroyMu.Lock()
+	defer r.destroyMu.Unlock()
 	r.mu.Lock()
 	_, ok := r.entries[id]
 	if !ok {
@@ -318,6 +328,8 @@ func (r *Registry) Destroy(id string) error {
 // passed, returning the ids destroyed. The reaper calls this
 // periodically; tests call it directly with a fake clock.
 func (r *Registry) SweepExpired() []string {
+	r.destroyMu.Lock()
+	defer r.destroyMu.Unlock()
 	now := r.clock()
 	r.mu.Lock()
 	var doomed []string

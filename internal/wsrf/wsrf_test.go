@@ -2,6 +2,7 @@ package wsrf
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,4 +274,37 @@ func TestConcurrentRegistryUse(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestDestroyWaitsForSweepCallback pins the reap-versus-read ordering:
+// a Destroy that loses the race to the reaper must not report the
+// resource gone until the reaper's destroy callback, which tears the
+// resource down in the data service, has finished.
+func TestDestroyWaitsForSweepCallback(t *testing.T) {
+	fc := &fakeClock{t: time.Date(2005, 9, 1, 0, 0, 0, 0, time.UTC)}
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var torndown atomic.Bool
+	r := NewRegistry(WithClock(fc.now), WithDestroyCallback(func(string) {
+		close(entered)
+		<-release
+		torndown.Store(true)
+	}))
+	r.AddWithTermination("urn:r1", testResource(), fc.now().Add(-time.Second))
+
+	swept := make(chan []string, 1)
+	go func() { swept <- r.SweepExpired() }()
+	<-entered
+	time.AfterFunc(50*time.Millisecond, func() { close(release) })
+
+	err := r.Destroy("urn:r1")
+	if _, ok := err.(*UnknownResourceError); !ok {
+		t.Fatalf("Destroy after reap = %v, want UnknownResourceError", err)
+	}
+	if !torndown.Load() {
+		t.Fatal("Destroy reported the resource gone while the reaper's destroy callback was still running")
+	}
+	if ids := <-swept; len(ids) != 1 || ids[0] != "urn:r1" {
+		t.Fatalf("sweep = %v", ids)
+	}
 }
